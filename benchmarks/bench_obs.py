@@ -25,8 +25,8 @@ totals must equal the engine's own ``AccessStats`` exactly.  The
 headline numbers are the overhead ratios ``disabled_overhead`` and
 ``enabled_overhead`` (arm seconds / baseline seconds, min over
 repeats).  The committed full run must hold disabled <= 2% and
-enabled <= 10%, enforced by ``check_bench_regression.py
---obs-baseline``, which also gates CI smoke runs (with slack: smoke
+enabled <= 10%, enforced by the ``obs`` row of
+``check_bench_regression.py``, which also gates CI smoke runs (with slack: smoke
 boxes are noisy).  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_obs.py           # full

@@ -35,8 +35,8 @@ failure scripts and seeded latency models; the socket overheads are
     bit-identical.
 
 Writes ``BENCH_resilience.json`` at the repository root; the committed
-full run is enforced by ``check_bench_regression.py
---resilience-baseline`` (which also gates CI smoke runs against the
+full run is enforced by the ``resilience`` row of
+``check_bench_regression.py`` (which also gates CI smoke runs against the
 committed speedups).  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_resilience.py           # full

@@ -22,8 +22,8 @@ The headline number is ``speedup`` = private wall seconds / shared
 wall seconds for the whole workload (equivalently the throughput
 ratio); per-query completion latency percentiles ride along.  The
 committed full run must hold >= 1.5x on every configuration, enforced
-by ``check_bench_regression.py --server-baseline``, which also gates
-CI smoke runs against the committed speedups.  Run directly::
+by the ``server`` row of ``check_bench_regression.py``, which also
+gates CI smoke runs against the committed speedups.  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_server.py           # full
     PYTHONPATH=src python benchmarks/bench_server.py --smoke   # CI

@@ -25,10 +25,10 @@ parent then
 
 The headline per-run number is ``headroom`` = store bytes / resident
 delta: how many times larger the dataset is than what querying it kept
-resident.  ``check_bench_regression.py --store-baseline`` re-validates
-the committed ``BENCH_store.json`` (>= 10M rows, budget honoured,
-headroom >= its bar) and holds a CI smoke run (``--store-smoke``) to
-its own recorded budget.  Run directly::
+resident.  The ``store`` row of ``check_bench_regression.py``
+re-validates the committed ``BENCH_store.json`` (>= 10M rows, budget
+honoured, headroom >= its bar) and holds the CI smoke run
+(``BENCH_store.smoke.json``) to its own recorded budget.  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_store.py           # full
     PYTHONPATH=src python benchmarks/bench_store.py --smoke   # CI

@@ -28,8 +28,8 @@ as calls to independent services would.
 
 Writes ``BENCH_transport.json`` at the repository root; the committed
 full run must hold >= 2x overlap speedup everywhere (enforced by
-``check_bench_regression.py --transport-baseline``, which also gates
-CI smoke runs against the committed speedups).  Run directly::
+the ``transport`` row of ``check_bench_regression.py``, which also
+gates CI smoke runs against the committed speedups).  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_transport.py           # full
     PYTHONPATH=src python benchmarks/bench_transport.py --smoke   # CI

@@ -24,8 +24,8 @@ mechanism: the certificate screens out the overwhelming majority of
 mutations for O(m) aggregate evaluation each.
 
 The committed full run must hold >= 5x on every configuration,
-enforced by ``check_bench_regression.py --views-baseline``, which also
-gates CI smoke runs against the committed speedups.  Run directly::
+enforced by the ``views`` row of ``check_bench_regression.py``, which
+also gates CI smoke runs against the committed speedups.  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_views.py           # full
     PYTHONPATH=src python benchmarks/bench_views.py --smoke   # CI

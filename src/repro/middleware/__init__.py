@@ -61,10 +61,6 @@ from .serialization import (
     decode_message,
     encode_frame,
     encode_message,
-    load_json,
-    load_npz,
-    save_json,
-    save_npz,
 )
 from .sources import GradedSource, ScoredCollection, assemble_database
 from .trace import RANDOM, SORTED, AccessEvent, AccessTrace
@@ -112,10 +108,6 @@ __all__ = [
     "GradedSource",
     "ScoredCollection",
     "assemble_database",
-    "save_json",
-    "load_json",
-    "save_npz",
-    "load_npz",
     "encode_message",
     "decode_message",
     "encode_frame",

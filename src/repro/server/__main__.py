@@ -2,15 +2,15 @@
 
 ::
 
-    PYTHONPATH=src python -m repro.server --npz db.npz --port 0
     PYTHONPATH=src python -m repro.server --store db.store --port 0
 
-Loads the persisted database (``--npz`` fully into RAM; ``--store``
-out-of-core through the memory-mapped v3 store and its LRU page cache,
-sized by ``--store-cache-mb`` / ``--store-page-rows`` -- the cache's
-hit/miss/eviction counters ride the obs plane and the ``stats`` wire
-op's ``store`` key), builds one simulated service per list
-(optionally behind a seeded latency model), mounts a
+Opens the database written by :func:`~repro.store.save_store`
+(out-of-core through the memory-mapped v3 store and its LRU page
+cache, sized by ``--store-cache-mb`` / ``--store-page-rows`` -- the
+cache's hit/miss/eviction counters ride the obs plane and the
+``stats`` wire op's ``store`` key; a legacy v1/v2 ``.npz`` file is
+detected and read into RAM instead), builds one simulated service
+per list (optionally behind a seeded latency model), mounts a
 :class:`~repro.server.service.QueryService` on a
 :class:`~repro.server.wire.QueryServer`, binds, prints one readiness
 line ``LISTENING <host> <port>`` (flushed), and serves until killed.
@@ -40,9 +40,9 @@ import sys
 from pathlib import Path
 
 from ..middleware.cost import AdmissionPolicy
-from ..middleware.serialization import load_npz
 from ..obs import Observability
 from ..services.simulated import LatencyModel
+from ..store import open_store
 from .service import QueryService
 from .wire import QueryServer
 
@@ -69,17 +69,12 @@ def build_server(args: argparse.Namespace) -> QueryServer:
                 else None
             ),
         )
-    if args.store is not None:
-        from ..store import open_store
-
-        db = open_store(
-            Path(args.store),
-            cache_bytes=args.store_cache_mb * 1024 * 1024,
-            page_rows=args.store_page_rows,
-            obs=obs,
-        )
-    else:
-        db = load_npz(Path(args.npz))
+    db = open_store(
+        Path(args.store),
+        cache_bytes=args.store_cache_mb * 1024 * 1024,
+        page_rows=args.store_page_rows,
+        obs=obs,
+    )
     service = QueryService(
         database=db,
         latency=latency,
@@ -133,15 +128,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.server", description=__doc__
     )
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument(
-        "--npz", help="database written by save_npz (loaded into RAM)"
-    )
-    source.add_argument(
+    parser.add_argument(
         "--store",
+        required=True,
         help="v3 store written by save_store, served out-of-core via "
-        "np.memmap behind an LRU page cache (legacy .npz files are "
-        "detected and loaded into RAM as with --npz)",
+        "np.memmap behind an LRU page cache (legacy v1/v2 .npz files "
+        "are detected and read into RAM)",
     )
     parser.add_argument(
         "--store-cache-mb",

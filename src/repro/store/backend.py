@@ -230,9 +230,9 @@ class StoreBackedShardedDatabase(_PagedOps, ShardedDatabase):
     """A :class:`~repro.middleware.database.ShardedDatabase` over a
     sharded v3 store: per-(list, shard) run triples are paged vectors,
     and the persisted merged global orders pre-fill ``_merged_cache``
-    so sorted access never re-merges (mirroring ``load_npz``'s sharded
-    path) -- a query's resident set stays proportional to the prefix
-    it consumes, not to ``N``.
+    so sorted access never re-merges (mirroring the legacy ``.npz``
+    reader's sharded path) -- a query's resident set stays
+    proportional to the prefix it consumes, not to ``N``.
     """
 
     def __init__(
@@ -336,6 +336,50 @@ class StoreBackedShardedDatabase(_PagedOps, ShardedDatabase):
         )
 
 
+def _load_legacy_npz(path: Path) -> Database:
+    """Read a legacy v1/v2 ``.npz`` database fully into RAM.
+
+    v2 files carry the per-list order arrays (and optionally a shard
+    layout), so they come back as a
+    :class:`~repro.middleware.database.ColumnarDatabase` -- or a
+    :class:`~repro.middleware.database.ShardedDatabase` with the
+    persisted layout -- built from the stored orderings: no re-sort,
+    tie order intact.  v1 files (grades only) rebuild orderings with
+    the deterministic stable sort of :meth:`Database.from_array`.
+    Object ids were stored as strings; integer ids are restored.
+    """
+    with np.load(path, allow_pickle=False) as data:
+        files = set(data.files)
+        grades = data["grades"]
+        ids = [
+            int(obj) if is_int else str(obj)
+            for obj, is_int in zip(
+                data["object_ids"].tolist(), data["int_ids"].tolist()
+            )
+        ]
+        if "order_rows" not in files:
+            return Database.from_array(grades, object_ids=ids)
+        order_rows = [
+            np.asarray(rows, dtype=np.intp) for rows in data["order_rows"]
+        ]
+        shard_bounds = (
+            np.asarray(data["shard_bounds"], dtype=np.intp)
+            if "shard_bounds" in files
+            else None
+        )
+    col = ColumnarDatabase(grades, ids, order_rows, validate=True)
+    if shard_bounds is None:
+        return col
+    sharded = ShardedDatabase.from_database(col, shard_bounds=shard_bounds)
+    # the shard runs are split from the loaded global orders, so the
+    # merge would reproduce them bit-for-bit: hand them over instead
+    sharded._merged_cache = [
+        (col._order_rows[i], col._order_grades[i])
+        for i in range(col.num_lists)
+    ]
+    return sharded
+
+
 def open_store(
     path: str | Path,
     *,
@@ -351,19 +395,13 @@ def open_store(
     back as a :class:`StoreBackedDatabase` (or
     :class:`StoreBackedShardedDatabase` when the store carries a shard
     layout).  Legacy v1/v2 ``.npz`` files -- recognised by their zip
-    magic -- fall back to
-    :func:`~repro.middleware.serialization.load_npz` (fully loaded
-    in RAM, same results); rewrite them with
+    magic -- are read fully into RAM (same results); rewrite them with
     :func:`~repro.store.format.save_store` to get the out-of-core
     path.  Anything else raises
     :class:`~repro.middleware.errors.StoreFormatError`.
     """
     if is_npz_file(path):
-        # imported here: serialization -> database only, so the store
-        # package stays an optional layer above the middleware
-        from ..middleware.serialization import load_npz
-
-        return load_npz(Path(path))
+        return _load_legacy_npz(Path(path))
     reader = StoreReader(path)
     cls = (
         StoreBackedShardedDatabase

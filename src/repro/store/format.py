@@ -6,8 +6,7 @@ loaded:
 
 * v1 -- ``.npz`` with grades only (orderings re-sorted on load);
 * v2 -- ``.npz`` with grades + per-list order arrays + optional shard
-  layout (``repro-database-npz-v2``, see
-  :mod:`repro.middleware.serialization`);
+  layout (``repro-database-npz-v2``);
 * v3 -- this format: an explicit binary header followed by raw
   little-endian array segments at stated offsets, so a reader can
   ``np.memmap`` each segment *lazily* (per list, per shard) and open a
@@ -38,17 +37,19 @@ segment offsets against the real file size and against each other
 ``np.memmap`` is created**; violations raise
 :class:`~repro.middleware.errors.StoreFormatError`.  A file written by
 a *newer* format version is refused outright with a clear message
-rather than half-read.  Legacy v1/v2 ``.npz`` files are detected by
-their zip magic and loaded through
-:func:`~repro.middleware.serialization.load_npz` (correct results, no
-out-of-core benefit) -- the upgrade path is
-:func:`save_store`-ing the loaded database.
+rather than half-read.  v3 is the only format written; legacy v1/v2
+``.npz`` files are detected by their zip magic and read fully into RAM
+by :func:`~repro.store.backend.open_store` (correct results, no
+out-of-core benefit) -- the upgrade path is :func:`save_store`-ing the
+loaded database.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
+import secrets
 import struct
 from pathlib import Path
 
@@ -56,6 +57,7 @@ import numpy as np
 
 from ..middleware.database import Database, ShardedDatabase
 from ..middleware.errors import StoreFormatError
+from ..middleware.mutable import MutableColumnarDatabase
 
 __all__ = [
     "STORE_MAGIC",
@@ -206,7 +208,7 @@ class StoreReader:
                         raise StoreFormatError(
                             f"{self.path}: legacy .npz database, not a "
                             "v3 store (open it via open_store, which "
-                            "falls back to load_npz)"
+                            "reads it into RAM)"
                         )
                     raise StoreFormatError(
                         f"{self.path}: not a repro-store file "
@@ -454,19 +456,22 @@ class StoreWriter:
     block by block, in any order.
 
     The constructor computes the full segment table, writes the header
-    and pre-sizes the file; :meth:`write` appends one block of rows to
-    a segment at an explicit row offset, so a ≫-RAM dataset can be
-    written with O(block) memory.  Use as a context manager.
+    and pre-sizes a sibling temporary file; :meth:`write` appends one
+    block of rows to a segment at an explicit row offset, so a ≫-RAM
+    dataset can be written with O(block) memory.  Use as a context
+    manager.
 
-    A store is only valid once every declared row of every segment has
-    been written: because the file is pre-sized with a complete header,
-    a partial file would pass every :class:`StoreReader` structural
-    check and silently serve zeros.  :meth:`close` therefore verifies
-    coverage (tracked as written row intervals, so interior holes are
-    caught too) and **deletes** the file before raising
-    :class:`~repro.middleware.errors.StoreFormatError` when anything is
-    missing; leaving the ``with`` block via an exception likewise
-    discards the partial file (:meth:`abort`).
+    The target path only ever holds a complete store.  Because the
+    temporary file carries a fully valid header from the start, a
+    partial one would pass every :class:`StoreReader` check and
+    silently serve zeros, so :meth:`close` first verifies coverage
+    (tracked as written row intervals, so interior holes are caught
+    too), then flushes and fsyncs the temporary file, ``os.replace``-s
+    it onto the target and fsyncs the directory.  A failed or
+    incomplete write -- an exception in the ``with`` body, a coverage
+    gap at :meth:`close`, or a crash at any point -- leaves the target
+    absent or as it was before; :meth:`abort` and an incomplete
+    :meth:`close` delete only the temporary file.
     """
 
     def __init__(
@@ -539,7 +544,12 @@ class StoreWriter:
         total = max(
             spec.offset + spec.nbytes for spec in self._segments.values()
         )
-        self._file: io.BufferedRandom | None = open(self.path, "w+b")
+        # a fresh sibling (same filesystem, so os.replace is atomic);
+        # "x" mode never clobbers, and unlike mkstemp honours the umask
+        self._tmp_path = self.path.with_name(
+            f".{self.path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
+        )
+        self._file: io.BufferedRandom | None = open(self._tmp_path, "x+b")
         self._file.write(STORE_MAGIC)
         self._file.write(_U32.pack(STORE_VERSION))
         self._file.write(_U32.pack(len(raw)))
@@ -592,16 +602,14 @@ class StoreWriter:
         return missing
 
     def abort(self) -> None:
-        """Discard the store: close the handle and delete the partial
-        file.  No-op after a successful :meth:`close`."""
+        """Discard the store: close the handle and delete the temporary
+        file (the target is untouched).  No-op after a successful
+        :meth:`close`."""
         if self._file is None:
             return
         self._file.close()
         self._file = None
-        try:
-            self.path.unlink()
-        except OSError:  # pragma: no cover - already gone / unlinkable
-            pass
+        self._tmp_path.unlink(missing_ok=True)
 
     def close(self) -> None:
         if self._file is None:
@@ -614,18 +622,30 @@ class StoreWriter:
                 shown += f", ... ({len(missing)} segments in all)"
             raise StoreFormatError(
                 f"{self.path}: store closed with incompletely written "
-                f"segments: {shown} -- the partial file was deleted"
+                f"segments: {shown} -- nothing was written to the target"
             )
-        self._file.flush()
-        self._file.close()
-        self._file = None
+        f, self._file = self._file, None
+        try:
+            f.flush()
+            os.fsync(f.fileno())
+            f.close()
+            os.replace(self._tmp_path, self.path)
+        except BaseException:
+            f.close()
+            self._tmp_path.unlink(missing_ok=True)
+            raise
+        dir_fd = os.open(self.path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
 
     def __enter__(self) -> "StoreWriter":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is not None:
-            # the body failed part-way: a pre-sized file with a valid
+            # the body failed part-way: the temporary file's valid
             # header would read back as silent zeros -- discard it
             self.abort()
         else:
@@ -640,8 +660,12 @@ def save_store(db: Database, path: str | Path) -> None:
     .ShardedDatabase` with more than one shard additionally persists
     its per-(list, shard) runs and shard layout, so an
     ``open_store``-ed copy shards identically -- tie order,
-    ``AccessStats`` and trace bytes included.
+    ``AccessStats`` and trace bytes included.  A mutable backend is
+    persisted as its compacted read-only snapshot (live rows only, its
+    shard layout remapped onto them).
     """
+    if isinstance(db, MutableColumnarDatabase):
+        db = db.snapshot()
     col = db.to_columnar()
     n, m = col.num_objects, col.num_lists
     ids = None if col._trivial_ids else list(col._ids)

@@ -4,7 +4,7 @@ process.
 The differential acceptance tests need every source to live behind an
 actual process boundary -- bytes on a socket, no shared memory, no
 shared event loop.  :class:`ServerProcess` provides that: it persists
-a database to ``.npz`` (tie order intact), spawns
+a database to a v3 store (tie order intact), spawns
 ``python -m repro.transport.serve`` on it, waits for the readiness
 line, and exposes the bound :attr:`address`.
 
@@ -31,7 +31,7 @@ from pathlib import Path
 
 from ..middleware.database import Database
 from ..middleware.errors import ServiceUnavailableError
-from ..middleware.serialization import save_npz
+from ..store import save_store
 
 __all__ = ["ServerProcess"]
 
@@ -61,7 +61,7 @@ class ServerProcess:
         Served lists (and, when sharded or ``num_shards`` is given,
         the per-shard run grid).
     num_shards:
-        Re-shard before serving.
+        Re-shard before serving (the store carries the layout).
     latency, jitter, latency_seed:
         Server-side per-call latency model (seconds).
     startup_timeout:
@@ -81,9 +81,10 @@ class ServerProcess:
         startup_timeout: float = 30.0,
     ):
         self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-transport-")
-        self._npz_path = Path(self._tmpdir.name) / "db.npz"
-        save_npz(database, self._npz_path)
-        self._num_shards = num_shards
+        self._store_path = Path(self._tmpdir.name) / "db.store"
+        if num_shards is not None:
+            database = database.to_sharded(num_shards)
+        save_store(database, self._store_path)
         self._latency = latency
         self._jitter = jitter
         self._latency_seed = latency_seed
@@ -97,13 +98,11 @@ class ServerProcess:
             sys.executable,
             "-m",
             "repro.transport.serve",
-            "--npz",
-            str(self._npz_path),
+            "--store",
+            str(self._store_path),
             "--port",
             str(port),
         ]
-        if self._num_shards is not None:
-            command += ["--num-shards", str(self._num_shards)]
         if self._latency:
             command += ["--latency", repr(self._latency)]
         if self._jitter:
@@ -176,7 +175,7 @@ class ServerProcess:
         """SIGKILL the child *without* any draining -- the tool for
         provoking genuine mid-stream connection failures in tests.
 
-        The persisted ``.npz`` (and the registry entry, so ``atexit``
+        The persisted store (and the registry entry, so ``atexit``
         still reaps the tempdir) survives, which is what lets
         :meth:`restart` bring the replica back on the same port."""
         self.process.kill()

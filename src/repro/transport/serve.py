@@ -3,12 +3,13 @@
 This is what the subprocess harness (and a human wanting a standalone
 source server) runs::
 
-    PYTHONPATH=src python -m repro.transport.serve --npz db.npz --port 0
+    PYTHONPATH=src python -m repro.transport.serve --store db.store --port 0
 
-The child loads the ``.npz`` (tie order intact -- the order arrays are
-persisted), builds one simulated service per list (plus the per-shard
-run grid when the file carries a shard layout or ``--num-shards`` is
-given), binds, prints one readiness line::
+The child opens the store written by :func:`~repro.store.save_store`
+(tie order intact -- the order arrays are persisted) through
+:func:`~repro.store.open_store`, builds one simulated service per list
+(plus the per-shard run grid when the store carries a shard layout),
+binds, prints one readiness line::
 
     LISTENING <host> <port>
 
@@ -33,15 +34,15 @@ import signal
 import sys
 from pathlib import Path
 
-from ..middleware.serialization import load_npz
 from ..services.simulated import LatencyModel
+from ..store import open_store
 from .server import GradedSourceServer
 
 __all__ = ["main"]
 
 
 def build_server(args: argparse.Namespace) -> GradedSourceServer:
-    db = load_npz(Path(args.npz), num_shards=args.num_shards)
+    db = open_store(Path(args.store))
     latency = None
     if args.latency or args.jitter:
         latency = LatencyModel(
@@ -49,7 +50,6 @@ def build_server(args: argparse.Namespace) -> GradedSourceServer:
         )
     return GradedSourceServer.from_database(
         db,
-        include_runs=not args.no_runs,
         latency=latency,
         host=args.host,
         port=args.port,
@@ -76,18 +76,7 @@ async def _serve(args: argparse.Namespace) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--npz", required=True, help="database written by save_npz"
-    )
-    parser.add_argument(
-        "--num-shards",
-        type=int,
-        default=None,
-        help="re-shard the database before serving its run grid",
-    )
-    parser.add_argument(
-        "--no-runs",
-        action="store_true",
-        help="do not export the per-shard run grid of a sharded database",
+        "--store", required=True, help="store written by save_store"
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(

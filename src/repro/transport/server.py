@@ -129,7 +129,6 @@ class GradedSourceServer(FrameServer):
         cls,
         db: Database,
         *,
-        include_runs: bool = True,
         latency: LatencyModel | Sequence[LatencyModel | None] | None = None,
         failures: FailureModel | Sequence[FailureModel | None] | None = None,
         retry: RetryPolicy | Sequence[RetryPolicy | None] | None = None,
@@ -138,12 +137,12 @@ class GradedSourceServer(FrameServer):
     ) -> "GradedSourceServer":
         """A server exporting every list of ``db`` (exact tie order),
         plus -- for a :class:`~repro.middleware.database.ShardedDatabase`
-        with ``include_runs`` -- its per-shard run grid."""
+        -- its per-shard run grid."""
         sources = services_for_database(
             db, latency=latency, failures=failures, retry=retry, names=names
         )
         run_grid: list[list[ShardRunService]] = []
-        if include_runs and isinstance(db, ShardedDatabase):
+        if isinstance(db, ShardedDatabase):
             # the run grid carries the same (possibly per-list) models
             # as the page/random sources: every shard of list i behaves
             # like one piece of list i's service
@@ -232,7 +231,6 @@ def serve_sources(
     what,
     *,
     num_shards: int | None = None,
-    include_runs: bool = True,
     latency: LatencyModel | Sequence[LatencyModel | None] | None = None,
     failures: FailureModel | Sequence[FailureModel | None] | None = None,
     retry: RetryPolicy | Sequence[RetryPolicy | None] | None = None,
@@ -250,15 +248,14 @@ def serve_sources(
     :func:`repro.services.network_services(server.address)
     <repro.services.network.network_services>`.  A
     :class:`~repro.middleware.database.ShardedDatabase` additionally
-    exports its per-shard run grid (``include_runs``); ``num_shards``
-    re-shards a flat database first.
+    exports its per-shard run grid; ``num_shards`` re-shards a flat
+    database first.
     """
     if isinstance(what, Database):
         if num_shards is not None:
             what = what.to_sharded(num_shards)
         server = GradedSourceServer.from_database(
             what,
-            include_runs=include_runs,
             latency=latency,
             failures=failures,
             retry=retry,

@@ -250,3 +250,31 @@ def run_query_matrix(db, cases, execute):
             f"case {index} ({case!r}) diverged from its solo reference"
         )
     return references
+
+
+def write_legacy_npz(db, path, *, order_arrays=True):
+    """Write ``db`` as a legacy ``.npz`` database, by hand: v2 (grades,
+    string ids, per-list order arrays, plus ``shard_bounds`` for a
+    sharded database) or, with ``order_arrays=False``, v1 (grades and
+    ids only).  Nothing in the package writes these formats any more;
+    :func:`repro.store.open_store` still reads them."""
+    import numpy as np
+
+    from repro.middleware.database import ShardedDatabase
+
+    col = db.to_columnar()
+    ids = list(col._ids)
+    payload = {
+        "format": np.array("repro-database-npz-v2"),
+        "grades": col._matrix,
+        "object_ids": np.array([str(obj) for obj in ids]),
+        "int_ids": np.array([isinstance(obj, int) for obj in ids]),
+    }
+    if order_arrays:
+        payload["order_rows"] = np.stack(
+            [np.asarray(rows, dtype=np.int64) for rows in col._order_rows]
+        )
+        if isinstance(db, ShardedDatabase):
+            payload["shard_bounds"] = db.shard_bounds.astype(np.int64)
+    with open(path, "wb") as f:  # a path would gain a .npz suffix
+        np.savez_compressed(f, **payload)

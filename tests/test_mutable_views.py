@@ -9,7 +9,7 @@ engine results, AccessStats -- to a from-scratch database built over
 the post-mutation grade matrix, and a :class:`~repro.views.LiveView`
 over it always equals a from-scratch top-k run.  The stateful
 hypothesis machine at the bottom drives random mutation interleavings
-against that oracle, including npz save/load round-trips.
+against that oracle, including v3 store save/open round-trips.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ from repro.middleware import (
     ShardedDatabase,
     UnknownListError,
     UnknownObjectError,
-    load_npz,
-    save_npz,
 )
+from repro.store import open_store, save_store
 from repro.views import LiveView, ViewEvent
+from tests.helpers import write_legacy_npz
 
 
 BACKENDS = [MutableColumnarDatabase, MutableShardedDatabase]
@@ -253,17 +253,19 @@ def test_sharded_insert_lands_in_last_shard():
     assert snap.num_shards == 3
 
 
-def test_npz_round_trip_after_mutations(tmp_path):
+def _mutated_sharded():
     rng = np.random.default_rng(29)
     db = MutableShardedDatabase.from_array(rng.random((20, 3)), num_shards=2)
     for step in range(15):
         db.update_grade(step % 20, step % 3, float(rng.random()))
     db.delete(4)
     db.insert("zz", (0.33, 0.44, 0.55))
-    path = tmp_path / "mutated.npz"
-    save_npz(db, path)
-    loaded = load_npz(path)
+    return db
+
+
+def _assert_reloads_identically(loaded, db):
     assert isinstance(loaded, ShardedDatabase)
+    assert np.array_equal(loaded.shard_bounds, db.shard_bounds)
     snap = db.to_columnar()
     loaded_col = loaded.to_columnar()
     np.testing.assert_array_equal(loaded_col._matrix, snap._matrix)
@@ -271,6 +273,23 @@ def test_npz_round_trip_after_mutations(tmp_path):
     for i in range(db.num_lists):
         for pos in range(db.num_objects):
             assert loaded.sorted_entry(i, pos) == db.sorted_entry(i, pos)
+
+
+def test_store_round_trip_after_mutations(tmp_path):
+    db = _mutated_sharded()
+    path = tmp_path / "mutated.store"
+    save_store(db, path)
+    _assert_reloads_identically(open_store(path, validate=True), db)
+
+
+def test_npz_round_trip_after_mutations(tmp_path):
+    """A legacy v2 file of a mutated database (as the retired npz
+    writer produced it: compacted rows and shard layout) still reads
+    back identically."""
+    db = _mutated_sharded()
+    path = tmp_path / "mutated.npz"
+    write_legacy_npz(db, path)
+    _assert_reloads_identically(open_store(path), db)
 
 
 def test_from_columns_rejects_adversarial_tie_order():
@@ -418,7 +437,7 @@ def test_live_view_differential_random_stream(cls):
 # ---------------------------------------------------------------------------
 class MutableParityMachine(RuleBasedStateMachine):
     """Random insert/update/delete/compact interleavings on both
-    mutable backends, with live views attached and npz round-trips in
+    mutable backends, with live views attached and store round-trips in
     the loop.  After every step, every view must equal a from-scratch
     top-k on the current database and persistence must reload
     bit-identically."""
@@ -476,23 +495,26 @@ class MutableParityMachine(RuleBasedStateMachine):
         self.dbs[which].compact()
 
     @rule(which=st.integers(0, 1))
-    def npz_round_trip(self, which):
+    def store_round_trip(self, which):
         import tempfile
         from pathlib import Path
 
         db = self.dbs[which]
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "state.npz"
-            save_npz(db, path)
-            loaded = load_npz(path)
-        snap = db.to_columnar()
-        np.testing.assert_array_equal(
-            loaded.to_columnar()._matrix, snap._matrix
-        )
-        assert list(loaded.objects) == list(snap.objects)
-        for i in range(db.num_lists):
-            for pos in range(db.num_objects):
-                assert loaded.sorted_entry(i, pos) == db.sorted_entry(i, pos)
+            path = Path(tmp) / "state.store"
+            save_store(db, path)
+            # read while the file exists: the store maps it lazily
+            loaded = open_store(path, validate=True)
+            snap = db.to_columnar()
+            np.testing.assert_array_equal(
+                loaded.to_columnar()._matrix, snap._matrix
+            )
+            assert list(loaded.objects) == list(snap.objects)
+            for i in range(db.num_lists):
+                for pos in range(db.num_objects):
+                    assert loaded.sorted_entry(i, pos) == db.sorted_entry(
+                        i, pos
+                    )
 
     @invariant()
     def backends_agree_and_views_match_scratch(self):

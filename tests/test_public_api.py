@@ -22,7 +22,9 @@ TOP_LEVEL = [
     "QueryService", "QueryServiceClient", "QuerySpec",
 ]
 
-DEPRECATED_TOP_LEVEL = [
+#: names the top level once re-exported from repro.services; they
+#: live only there now
+REMOVED_TOP_LEVEL = [
     "AsyncAccessSession", "LatencyModel", "SimulatedListService",
     "assemble_remote_database", "services_for_database",
     "services_for_sources",
@@ -37,7 +39,6 @@ SUBMODULE_NAMES = {
     "repro.middleware": [
         "MutableDatabase", "MutableColumnarDatabase",
         "MutableShardedDatabase", "MutationEvent", "UnknownViewError",
-        "save_json", "load_json", "save_npz", "load_npz",
         "WildGuessError", "CapabilityError", "DatabaseError",
         "AccessTrace", "ScoredCollection", "ShardedDatabase",
         "ListMergeCursor", "shard_bounds_for",
@@ -70,6 +71,11 @@ SUBMODULE_NAMES = {
         "QueryHandle", "QueryServer", "QueryServiceClient",
         "QueryOutcome", "ViewSnapshot", "PROTOCOL_VERSION",
         "encode_result", "decode_result",
+    ],
+    "repro.store": [
+        "save_store", "open_store", "StoreWriter", "StoreReader",
+        "StoreBackedDatabase", "StoreBackedShardedDatabase",
+        "LRUPageCache",
     ],
     "repro.views": [
         "LiveView", "ViewEvent",
@@ -115,21 +121,24 @@ def test_submodule_export(module, name):
     assert name in mod.__all__, f"{module}.__all__ missing {name}"
 
 
-@pytest.mark.parametrize("name", DEPRECATED_TOP_LEVEL)
-def test_deprecated_alias_warns_and_resolves(name):
-    """Names demoted from the curated top level stay importable for a
-    deprecation cycle, but warn and point at their supported home."""
+def test_unknown_top_level_attribute_still_raises():
     import repro.services
 
-    with pytest.warns(DeprecationWarning, match="repro.services"):
-        value = getattr(repro, name)
-    assert value is getattr(repro.services, name)
-    assert name not in repro.__all__
-
-
-def test_unknown_top_level_attribute_still_raises():
     with pytest.raises(AttributeError):
         repro.definitely_not_a_symbol
+    for name in REMOVED_TOP_LEVEL:
+        with pytest.raises(AttributeError):
+            getattr(repro, name)
+        assert hasattr(repro.services, name), name
+
+
+def test_middleware_exports_no_database_writers():
+    import repro.middleware
+    import repro.middleware.serialization as serialization
+
+    for name in ("save_json", "load_json", "save_npz", "load_npz"):
+        assert not hasattr(repro.middleware, name), name
+        assert not hasattr(serialization, name), name
 
 
 def test_version_string():

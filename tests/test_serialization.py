@@ -1,7 +1,8 @@
-"""Tests for database persistence (JSON with tie order; npz with the
-grade matrix, the per-list order arrays, and the shard layout) and for
-the wire codecs the transport subsystem ships between processes
-(tagged binary messages in length-prefixed frames)."""
+"""Tests for database persistence -- the v3 store written by
+:func:`~repro.store.save_store` (exact tie order, shard layout) and
+the legacy v1/v2 ``.npz`` files :func:`~repro.store.open_store` still
+reads -- and for the wire codecs the transport subsystem ships between
+processes (tagged binary messages in length-prefixed frames)."""
 
 import math
 import struct
@@ -13,21 +14,24 @@ from hypothesis import strategies as st
 
 from repro import datagen
 from repro.aggregation import AVERAGE, MIN
-from repro.core import ThresholdAlgorithm
+from repro.core import (
+    CombinedAlgorithm,
+    NoRandomAccessAlgorithm,
+    ThresholdAlgorithm,
+)
 from repro.middleware import (
     ColumnarDatabase,
     Database,
-    DatabaseError,
+    MutableColumnarDatabase,
+    MutableShardedDatabase,
+    ShardedDatabase,
     WireFormatError,
     decode_frame,
     decode_message,
     encode_frame,
     encode_message,
-    load_json,
-    load_npz,
-    save_json,
-    save_npz,
 )
+from repro.middleware.errors import StoreFormatError
 from repro.middleware.serialization import (
     FRAME_FLAG_COMPRESSED,
     FRAME_HEADER_BYTES,
@@ -36,13 +40,46 @@ from repro.middleware.serialization import (
     frame_header_info,
     frame_payload_size,
 )
+from repro.store import open_store, save_store
+from tests.helpers import result_signature, write_legacy_npz
 
 
-class TestJsonRoundTrip:
+def _round_trip(db, path):
+    save_store(db, path)
+    return open_store(path, validate=True)
+
+
+def _mutated(cls, **kwargs):
+    rng = np.random.default_rng(29)
+    db = cls.from_array(rng.integers(0, 6, (40, 3)) / 5.0, **kwargs)
+    for step in range(25):
+        db.update_grade(step % 40, step % 3, float(rng.integers(0, 6)) / 5)
+    db.delete(4)
+    db.delete(17)
+    db.insert("zz", (0.4, 0.6, 0.4))
+    return db
+
+
+ROUND_TRIP_CASES = {
+    "scalar": lambda: Database.from_rows(
+        {f"obj-{i}": (i % 3 / 2, i % 5 / 4, (7 - i) % 4 / 3)
+         for i in range(30)}
+    ),
+    "columnar": lambda: datagen.uniform(200, 3, seed=8).to_columnar(),
+    "sharded": lambda: datagen.uniform(200, 3, seed=9).to_sharded(3),
+    "mutable": lambda: _mutated(MutableColumnarDatabase),
+    "mutable-sharded": lambda: _mutated(MutableShardedDatabase, num_shards=3),
+    "adversarial-ties": lambda: datagen.example_6_3(12).database,
+}
+
+
+class TestStoreRoundTrip:
+    """``save_store`` is the only writer: every backend round-trips
+    through it with grades, tie order, engine items, halting reason and
+    ``AccessStats`` unchanged."""
+
     def test_grades_preserved(self, tmp_path, tiny_db):
-        path = tmp_path / "db.json"
-        save_json(tiny_db, path)
-        loaded = load_json(path)
+        loaded = _round_trip(tiny_db, tmp_path / "db.store")
         assert loaded.num_objects == tiny_db.num_objects
         for obj in tiny_db.objects:
             assert loaded.grade_vector(obj) == tiny_db.grade_vector(obj)
@@ -50,9 +87,7 @@ class TestJsonRoundTrip:
     def test_tie_order_preserved(self, tmp_path):
         """The property the adversarial families depend on."""
         inst = datagen.example_6_3(8)
-        path = tmp_path / "fig1.json"
-        save_json(inst.database, path)
-        loaded = load_json(path)
+        loaded = _round_trip(inst.database, tmp_path / "fig1.store")
         for i in range(2):
             for p in range(loaded.num_objects):
                 assert loaded.sorted_entry(i, p) == inst.database.sorted_entry(
@@ -61,27 +96,51 @@ class TestJsonRoundTrip:
 
     def test_algorithms_agree_after_round_trip(self, tmp_path):
         inst = datagen.example_6_3(10)
-        path = tmp_path / "fig1.json"
-        save_json(inst.database, path)
-        loaded = load_json(path)
+        loaded = _round_trip(inst.database, tmp_path / "fig1.store")
         before = ThresholdAlgorithm().run_on(inst.database, MIN, 1)
         after = ThresholdAlgorithm().run_on(loaded, MIN, 1)
         assert before.objects == after.objects
         assert before.middleware_cost == after.middleware_cost
 
-    def test_rejects_foreign_json(self, tmp_path):
+    def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "foreign.json"
         path.write_text('{"hello": "world"}')
-        with pytest.raises(DatabaseError):
-            load_json(path)
+        with pytest.raises(StoreFormatError):
+            open_store(path)
+
+    @pytest.mark.parametrize("kind", sorted(ROUND_TRIP_CASES))
+    def test_round_trip_keeps_items_ties_halt_and_stats(self, tmp_path, kind):
+        db = ROUND_TRIP_CASES[kind]()
+        loaded = _round_trip(db, tmp_path / f"{kind}.store")
+        assert isinstance(loaded, ShardedDatabase) == isinstance(
+            db, ShardedDatabase
+        )
+        assert sorted(map(str, loaded.objects)) == sorted(
+            map(str, db.objects)
+        )
+        for i in range(db.num_lists):
+            for p in range(db.num_objects):
+                assert loaded.sorted_entry(i, p) == db.sorted_entry(i, p)
+        for algorithm in (
+            ThresholdAlgorithm, NoRandomAccessAlgorithm, CombinedAlgorithm
+        ):
+            for t, k in ((AVERAGE, 5), (MIN, 1)):
+                assert result_signature(
+                    algorithm().run_on(loaded, t, k)
+                ) == result_signature(algorithm().run_on(db, t, k)), (
+                    algorithm.__name__, t, k
+                )
 
 
 class TestNpzRoundTrip:
+    """Legacy v2 ``.npz`` files (written by hand: nothing in the package
+    writes them any more) still read through ``open_store``."""
+
     def test_grades_preserved(self, tmp_path):
         db = datagen.uniform(50, 3, seed=2)
         path = tmp_path / "db.npz"
-        save_npz(db, path)
-        loaded = load_npz(path)
+        write_legacy_npz(db, path)
+        loaded = open_store(path)
         assert loaded.num_objects == 50
         for obj in db.objects:
             assert loaded.grade_vector(obj) == pytest.approx(
@@ -91,37 +150,38 @@ class TestNpzRoundTrip:
     def test_string_ids_preserved(self, tmp_path):
         db = Database.from_rows({"alpha": (0.3,), "beta": (0.9,)})
         path = tmp_path / "db.npz"
-        save_npz(db, path)
-        loaded = load_npz(path)
+        write_legacy_npz(db, path)
+        loaded = open_store(path)
         assert set(loaded.objects) == {"alpha", "beta"}
 
     def test_int_ids_restored_as_ints(self, tmp_path):
         db = datagen.uniform(10, 2, seed=0)
         path = tmp_path / "db.npz"
-        save_npz(db, path)
-        loaded = load_npz(path)
+        write_legacy_npz(db, path)
+        loaded = open_store(path)
         assert all(isinstance(obj, int) for obj in loaded.objects)
 
     def test_top_k_stable_across_round_trip(self, tmp_path):
         db = datagen.permutations(60, 2, seed=3)
         path = tmp_path / "db.npz"
-        save_npz(db, path)
-        loaded = load_npz(path)
+        write_legacy_npz(db, path)
+        loaded = open_store(path)
         assert [g for _, g in db.top_k(MIN, 5)] == pytest.approx(
             [g for _, g in loaded.top_k(MIN, 5)]
         )
 
 
 class TestNpzOrderArrays:
-    """The v2 format persists the per-list order arrays: reload returns
-    a ready columnar backend, skips the argsort, and preserves the exact
-    tie order (which the legacy grades-only format could not)."""
+    """The legacy v2 format persists the per-list order arrays: reading
+    one returns a ready columnar backend, skips the argsort, and
+    preserves the exact tie order (which the v1 grades-only format
+    could not)."""
 
     def test_reload_is_columnar_and_tie_order_preserved(self, tmp_path):
         inst = datagen.example_6_3(10)
         path = tmp_path / "adv.npz"
-        save_npz(inst.database, path)
-        loaded = load_npz(path)
+        write_legacy_npz(inst.database, path)
+        loaded = open_store(path)
         assert isinstance(loaded, ColumnarDatabase)
         for i in range(loaded.num_lists):
             for p in range(loaded.num_objects):
@@ -131,18 +191,18 @@ class TestNpzOrderArrays:
 
     def test_reload_skips_argsort(self, tmp_path, monkeypatch):
         """Sort-spy: with the order arrays persisted, no argsort may run
-        during load, and sorted access must serve the stored orderings
-        directly."""
+        during the read, and sorted access must serve the stored
+        orderings directly."""
         db = datagen.uniform(80, 3, seed=6)
         columnar = db.to_columnar()
         path = tmp_path / "col.npz"
-        save_npz(columnar, path)
+        write_legacy_npz(columnar, path)
 
         def forbidden(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("argsort ran during load_npz")
+            raise AssertionError("argsort ran during the legacy read")
 
         monkeypatch.setattr(np, "argsort", forbidden)
-        loaded = load_npz(path)
+        loaded = open_store(path)
         assert isinstance(loaded, ColumnarDatabase)
         for i in range(3):
             assert np.array_equal(
@@ -156,30 +216,19 @@ class TestNpzOrderArrays:
     def test_columnar_round_trip_runs_identically(self, tmp_path):
         db = datagen.uniform(120, 3, seed=8).to_columnar()
         path = tmp_path / "run.npz"
-        save_npz(db, path)
-        loaded = load_npz(path)
+        write_legacy_npz(db, path)
+        loaded = open_store(path)
         before = ThresholdAlgorithm().run_on(db, AVERAGE, 7)
         after = ThresholdAlgorithm().run_on(loaded, AVERAGE, 7)
-        assert [(it.obj, it.grade) for it in before.items] == [
-            (it.obj, it.grade) for it in after.items
-        ]
-        assert before.stats.sorted_accesses == after.stats.sorted_accesses
-        assert before.stats.random_accesses == after.stats.random_accesses
+        assert result_signature(before) == result_signature(after)
 
     def test_legacy_grades_only_files_still_load(self, tmp_path):
-        """Files written before the order arrays existed (grades +
-        string ids only) rebuild with the deterministic stable sort."""
+        """v1 files (grades + string ids only) rebuild with the
+        deterministic stable sort."""
         db = datagen.uniform(30, 2, seed=4)
-        ids_sorted = sorted(db.objects, key=str)
-        ids, grades = db.to_array(object_ids=ids_sorted)
         path = tmp_path / "legacy.npz"
-        np.savez_compressed(
-            path,
-            grades=grades,
-            object_ids=np.array([str(obj) for obj in ids]),
-            int_ids=np.array([isinstance(obj, int) for obj in ids]),
-        )
-        loaded = load_npz(path)
+        write_legacy_npz(db, path, order_arrays=False)
+        loaded = open_store(path)
         assert loaded.num_objects == 30
         for obj in db.objects:
             assert loaded.grade_vector(obj) == pytest.approx(

@@ -18,10 +18,9 @@ from repro.middleware import (
     ListMergeCursor,
     ShardedDatabase,
     UnknownObjectError,
-    load_npz,
-    save_npz,
     shard_bounds_for,
 )
+from repro.store import open_store, save_store
 
 
 def _random_db(n=97, m=3, seed=0, ties=False):
@@ -236,9 +235,9 @@ class TestShardedGeneration:
 class TestShardedPersistence:
     def test_round_trip_preserves_layout_and_order(self, tmp_path):
         db = _random_db(ties=True, seed=21).to_sharded(3)
-        path = tmp_path / "sharded.npz"
-        save_npz(db, path)
-        loaded = load_npz(path)
+        path = tmp_path / "sharded.store"
+        save_store(db, path)
+        loaded = open_store(path, validate=True)
         assert isinstance(loaded, ShardedDatabase)
         assert loaded.num_shards == 3
         assert np.array_equal(loaded.shard_bounds, db.shard_bounds)
@@ -246,13 +245,23 @@ class TestShardedPersistence:
             for p in range(db.num_objects):
                 assert loaded.sorted_entry(i, p) == db.sorted_entry(i, p)
 
-    def test_load_reshards_on_request(self, tmp_path):
+    def test_resharded_save_round_trips(self, tmp_path):
+        """Re-sharding happens before the save: the store carries the
+        layout, and its runs are exactly a fresh re-shard's."""
         db = _random_db(seed=23)
-        path = tmp_path / "plain.npz"
-        save_npz(db, path)
-        loaded = load_npz(path, num_shards=4)
+        path = tmp_path / "resharded.store"
+        save_store(db.to_sharded(4), path)
+        loaded = open_store(path)
         assert isinstance(loaded, ShardedDatabase)
         assert loaded.num_shards == 4
+        fresh = ShardedDatabase.from_database(db.to_columnar(), num_shards=4)
+        for i in range(db.num_lists):
+            for (rows, grades, ties), ref in zip(
+                loaded.list_runs(i), fresh.list_runs(i)
+            ):
+                assert np.array_equal(np.asarray(rows), ref[0])
+                assert np.array_equal(np.asarray(grades), ref[1])
+                assert np.array_equal(np.asarray(ties), ref[2])
         result_a = ThresholdAlgorithm().run_on(db, AVERAGE, 5)
         result_b = ThresholdAlgorithm().run_on(loaded, AVERAGE, 5)
         assert [it.obj for it in result_a.items] == [
@@ -261,18 +270,18 @@ class TestShardedPersistence:
 
     def test_reload_skips_sort_and_merge(self, tmp_path, monkeypatch):
         """The persisted order arrays must be used as-is: neither an
-        argsort nor a merge re-sort may run on load or on sorted
+        argsort nor a merge re-sort may run on open or on sorted
         access (the merged-order cache comes back pre-filled)."""
         db = _random_db(seed=25).to_sharded(2)
-        path = tmp_path / "s.npz"
-        save_npz(db, path)
+        path = tmp_path / "s.store"
+        save_store(db, path)
 
         def forbidden(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("re-sort during sharded load")
 
         monkeypatch.setattr(np, "argsort", forbidden)
         monkeypatch.setattr(np, "lexsort", forbidden)
-        loaded = load_npz(path)
+        loaded = open_store(path)
         assert loaded.sorted_entry(0, 0) == db.sorted_entry(0, 0)
         assert all(entry is not None for entry in loaded._merged_cache)
         # the engines themselves may lexsort chunk assemblies; only the

@@ -1,4 +1,5 @@
-"""The v3 on-disk store: format discipline, versioning, paging.
+"""The v3 on-disk store: format discipline, versioning, atomic saves,
+paging.
 
 The no-trust rules of the wire codec apply to files: every structural
 check -- magic, version, header shape, segment bounds -- runs *before*
@@ -7,7 +8,9 @@ any ``np.memmap`` is created, so corrupt or truncated files raise the
 being mapped and read as garbage.  Versioning is explicit: legacy
 v1/v2 ``.npz`` files load through the same :func:`open_store` entry
 point (fully in RAM, same results), and a future-version file is
-refused with a message saying so.
+refused with a message saying so.  Saves are atomic: an injected
+write failure or a SIGKILL at seeded points leaves the target absent,
+the old store, or the complete new one.
 
 The paging layer is tested for exact equivalence: every read served
 through the :class:`~repro.store.LRUPageCache` must be bit-identical
@@ -18,11 +21,17 @@ fancy-gather patterns, and cache evictions.
 from __future__ import annotations
 
 import json
+import os
+import signal
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.aggregation import AVERAGE, MIN, SUM
 from repro.datagen import synthetic
 from repro.middleware.database import (
@@ -35,7 +44,6 @@ from repro.middleware.errors import (
     StoreFormatError,
     WireFormatError,
 )
-from repro.middleware.serialization import save_npz
 from repro.store import (
     STORE_MAGIC,
     STORE_VERSION,
@@ -50,6 +58,7 @@ from repro.store import (
     open_store,
     save_store,
 )
+from tests.helpers import write_legacy_npz
 
 
 @pytest.fixture
@@ -163,7 +172,7 @@ class TestRoundTrip:
 class TestLegacyLoad:
     def test_v2_npz_loads_through_open_store(self, tmp_path, db):
         path = tmp_path / "legacy.npz"
-        save_npz(db, path)
+        write_legacy_npz(db, path)
         loaded = open_store(path)
         assert isinstance(loaded, ColumnarDatabase)
         assert not isinstance(loaded, StoreBackedDatabase)
@@ -171,30 +180,22 @@ class TestLegacyLoad:
 
     def test_v2_sharded_npz_loads_through_open_store(self, tmp_path, db):
         path = tmp_path / "legacy-sharded.npz"
-        save_npz(db.to_sharded(4), path)
+        write_legacy_npz(db.to_sharded(4), path)
         loaded = open_store(path)
         assert isinstance(loaded, ShardedDatabase)
         assert loaded.num_shards == 4
         assert loaded.top_k(SUM, 5) == db.to_sharded(4).top_k(SUM, 5)
 
     def test_v1_npz_without_order_arrays_loads(self, tmp_path, db):
-        col = db.to_columnar()
-        ids = list(col._ids)
         path = tmp_path / "v1.npz"
-        np.savez_compressed(
-            path,
-            format=np.array("repro-database-npz-v2"),
-            grades=col._matrix,
-            object_ids=np.array([str(obj) for obj in ids]),
-            int_ids=np.array([isinstance(obj, int) for obj in ids]),
-        )
+        write_legacy_npz(db, path, order_arrays=False)
         loaded = open_store(path)
         assert isinstance(loaded, Database)
         assert loaded.top_k(MIN, 5) == db.top_k(MIN, 5)
 
     def test_store_rewrite_of_legacy_npz_is_equivalent(self, tmp_path, db):
         npz = tmp_path / "old.npz"
-        save_npz(db, npz)
+        write_legacy_npz(db, npz)
         legacy = open_store(npz)
         rewritten = tmp_path / "new.store"
         save_store(legacy, rewritten)
@@ -401,6 +402,114 @@ class TestWriterDiscipline:
         w.close()  # idempotent
         w.abort()  # no-op: the finalised file stays
         assert (tmp_path / "other.store").exists()
+
+
+# ---------------------------------------------------------------------------
+# atomic saves: the target is absent, the old store, or complete
+# ---------------------------------------------------------------------------
+def _same_database(loaded, db) -> bool:
+    return list(map(str, loaded.objects)) == list(
+        map(str, db.objects)
+    ) and all(
+        loaded.sorted_entry(i, p) == db.sorted_entry(i, p)
+        for i in range(db.num_lists)
+        for p in range(db.num_objects)
+    )
+
+
+def _old_db():
+    return synthetic.correlated(120, 3, seed=5)
+
+
+def _new_db():
+    return synthetic.uniform(120, 3, seed=6).to_sharded(2)
+
+
+#: a child that saves ``_new_db()`` and SIGKILLs itself part-way: at
+#: write call ``kill_at`` (after half that block reached the file) or,
+#: with ``kill_at == 0``, just before the rename that publishes it
+_KILLED_SAVE = """
+import os, signal, sys
+from repro.store import format as fmt
+from tests.test_store_format import _new_db
+
+path, kill_at = sys.argv[1], int(sys.argv[2])
+write, calls = fmt.StoreWriter.write, []
+
+def dying_write(self, name, block, row_offset=0):
+    calls.append(name)
+    if len(calls) == kill_at:
+        write(self, name, block[: len(block) // 2], row_offset)
+        self._file.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+    write(self, name, block, row_offset)
+
+def dying_replace(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+fmt.StoreWriter.write = dying_write
+if kill_at == 0:
+    os.replace = dying_replace
+fmt.save_store(_new_db(), path)
+"""
+
+#: seeded kill points over the 25 writes of ``_new_db()`` (grades, 3x2
+#: order segments, 3x2x3 run segments); 0 is "before the rename"
+_KILL_POINTS = [0, 1] + sorted(
+    np.random.default_rng(15).choice(np.arange(2, 26), 3, replace=False)
+    .tolist()
+)
+
+
+class TestAtomicSave:
+    def test_injected_failure_keeps_old_store(self, tmp_path, monkeypatch):
+        path = tmp_path / "db.store"
+        save_store(_old_db(), path)
+        write, calls = StoreWriter.write, []
+
+        def failing_write(self, name, block, row_offset=0):
+            calls.append(name)
+            if len(calls) == 2:
+                raise OSError("injected: disk full")
+            write(self, name, block, row_offset)
+
+        monkeypatch.setattr(StoreWriter, "write", failing_write)
+        with pytest.raises(OSError, match="injected"):
+            save_store(_new_db(), path)
+        assert _same_database(open_store(path, validate=True), _old_db())
+        assert [f.name for f in tmp_path.iterdir()] == ["db.store"]
+
+    @pytest.mark.parametrize("had_old", [False, True])
+    @pytest.mark.parametrize("kill_at", _KILL_POINTS)
+    def test_killed_save_leaves_target_absent_old_or_complete(
+        self, tmp_path, kill_at, had_old
+    ):
+        path = tmp_path / "db.store"
+        if had_old:
+            save_store(_old_db(), path)
+        root = Path(repro.__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src"), str(root), env.get("PYTHONPATH", "")]
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", _KILLED_SAVE, str(path), str(kill_at)],
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert child.returncode == -signal.SIGKILL, child.stderr
+        if not path.exists():
+            assert not had_old, "the old store was destroyed"
+            return
+        # opened as the daemon opens it: structural checks only
+        loaded = open_store(path)
+        if had_old and _same_database(loaded, _old_db()):
+            return
+        assert _same_database(loaded, _new_db()), (
+            "the target reads as a store that is neither the old one "
+            "nor the complete new one"
+        )
 
 
 # ---------------------------------------------------------------------------
